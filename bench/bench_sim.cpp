@@ -126,16 +126,10 @@ void print_scalar_vs_batched() {
         pool.worker_count(), parallel64_fps, parallel64_fps / serial64_fps);
 
     // Engine backend head-to-head on the n=64 workload: one packed
-    // session versus a ShardedBackend with one shard per core — the
-    // in-process rehearsal of the multi-host chunk-range split, so the
-    // merge overhead (concatenating per-shard lane verdicts) is tracked
-    // from PR 5 onward.
-    const int shard_count = static_cast<int>(pool.worker_count());
+    // session versus a RemoteBackend over loopback peers, so the
+    // scatter/merge overhead of the range split is tracked.
     const engine::Engine packed_engine(
         engine::EngineConfig{.backend = engine::BackendKind::Packed});
-    const engine::Engine sharded_engine(
-        engine::EngineConfig{.backend = engine::BackendKind::Sharded,
-                             .shards = shard_count});
     constexpr int kRemotePeers = 2;
     net::LoopbackFleet fleet(kRemotePeers);
     const engine::Engine remote_engine(
@@ -169,12 +163,6 @@ void print_scalar_vs_batched() {
         .field("batched_1thread_faults_per_sec", serial64_fps)
         .field("batched_mt_faults_per_sec", parallel64_fps)
         .field("parallel_speedup", parallel64_fps / serial64_fps, 2)
-        .engine_backend_head_to_head(
-            "n=64 covers sweep", faults64, shard_count,
-            [&] { return packed_engine.detects(test, population64, opts64); },
-            [&] {
-                return sharded_engine.detects(test, population64, opts64);
-            })
         .remote_vs_packed(
             "n=64 covers sweep", faults64, kRemotePeers,
             [&] { return packed_engine.detects(test, population64, opts64); },

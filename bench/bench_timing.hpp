@@ -119,34 +119,12 @@ public:
         }
     }
 
-    /// The engine packed-vs-sharded head-to-head both benches report:
-    /// times the two sweeps, prints the comparison section, and appends
-    /// the engine_* summary fields — one implementation so the metric set
-    /// and field names cannot drift between bench_sim and bench_word.
-    template <typename PackedSweep, typename ShardedSweep>
-    JsonSummary& engine_backend_head_to_head(const char* workload,
-                                             double faults, int shards,
-                                             PackedSweep&& packed,
-                                             ShardedSweep&& sharded) {
-        const double packed_fps = faults / seconds_per_sweep(packed);
-        const double sharded_fps = faults / seconds_per_sweep(sharded);
-        std::printf(
-            "Engine backends (%s, %d shards):\n"
-            "  packed          : %12.0f faults/sec\n"
-            "  sharded         : %12.0f faults/sec\n"
-            "  shard overhead  : %.2fx\n\n",
-            workload, shards, packed_fps, sharded_fps,
-            sharded_fps / packed_fps);
-        return field("engine_shards", shards)
-            .field("engine_packed_faults_per_sec", packed_fps)
-            .field("engine_sharded_faults_per_sec", sharded_fps)
-            .field("sharded_vs_packed", sharded_fps / packed_fps, 2);
-    }
-
-    /// The remote-transport head-to-head: one packed session versus a
-    /// RemoteBackend over same-process loopback peers — the serialize +
-    /// frame + scatter/gather cost of the socket transport on top of the
-    /// identical packed evaluation.
+    /// The remote-transport head-to-head both benches report: one packed
+    /// session versus a RemoteBackend over same-process loopback peers —
+    /// the serialize + frame + scatter/gather cost of the socket
+    /// transport on top of the identical packed evaluation. One
+    /// implementation so the metric set and field names cannot drift
+    /// between bench_sim and bench_word.
     template <typename PackedSweep, typename RemoteSweep>
     JsonSummary& remote_vs_packed(const char* workload, double faults,
                                   int peers, PackedSweep&& packed,
@@ -160,7 +138,8 @@ public:
             "  remote/packed   : %.2fx\n\n",
             workload, peers, packed_fps, remote_fps,
             remote_fps / packed_fps);
-        return field("remote_peers", peers)
+        return field("engine_packed_faults_per_sec", packed_fps)
+            .field("remote_peers", peers)
             .field("engine_remote_faults_per_sec", remote_fps)
             .field("remote_vs_packed", remote_fps / packed_fps, 2);
     }

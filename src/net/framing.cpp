@@ -14,7 +14,6 @@
 #include <stdexcept>
 
 #include "net/crc32c.hpp"
-#include "util/contracts.hpp"
 
 namespace mtg::net {
 
@@ -45,7 +44,6 @@ FrameChannel::~FrameChannel() {
 
 FrameChannel::FrameChannel(FrameChannel&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      frame_version_(other.frame_version_),
       max_frame_bytes_(other.max_frame_bytes_),
       mid_frame_idle_ms_(other.mid_frame_idle_ms_) {}
 
@@ -53,16 +51,10 @@ FrameChannel& FrameChannel::operator=(FrameChannel&& other) noexcept {
     if (this != &other) {
         if (fd_ >= 0) ::close(fd_);
         fd_ = std::exchange(other.fd_, -1);
-        frame_version_ = other.frame_version_;
         max_frame_bytes_ = other.max_frame_bytes_;
         mid_frame_idle_ms_ = other.mid_frame_idle_ms_;
     }
     return *this;
-}
-
-void FrameChannel::set_frame_version(int version) {
-    MTG_EXPECTS(version == 1 || version == 2);
-    frame_version_ = version;
 }
 
 void FrameChannel::set_max_frame_bytes(std::uint32_t max_bytes) {
@@ -80,15 +72,13 @@ bool FrameChannel::send(std::span<const std::uint8_t> payload) {
     for (int i = 0; i < 4; ++i)
         header[i] = static_cast<std::uint8_t>(length >> (8 * i));
     std::uint8_t trailer[4];
-    if (frame_version_ >= 2) {
-        const std::uint32_t crc = crc32c(payload);
-        for (int i = 0; i < 4; ++i)
-            trailer[i] = static_cast<std::uint8_t>(crc >> (8 * i));
-    }
+    const std::uint32_t crc = crc32c(payload);
+    for (int i = 0; i < 4; ++i)
+        trailer[i] = static_cast<std::uint8_t>(crc >> (8 * i));
 
     const std::uint8_t* chunks[3] = {header, payload.data(), trailer};
     const std::size_t sizes[3] = {sizeof(header), payload.size(),
-                                  frame_version_ >= 2 ? sizeof(trailer) : 0};
+                                  sizeof(trailer)};
     for (int part = 0; part < 3; ++part) {
         const std::uint8_t* data = chunks[part];
         std::size_t left = sizes[part];
@@ -189,22 +179,20 @@ FrameChannel::RecvStatus FrameChannel::recv(std::vector<std::uint8_t>& payload,
             case IoStatus::Closed: return RecvStatus::Corrupt;
         }
     }
-    if (frame_version_ >= 2) {
-        // v2 trailer: CRC32C of the payload. A mismatch is Corrupt —
-        // caught here, before the payload decoder ever sees the bytes.
-        std::uint8_t trailer[4];
-        switch (read_exact(trailer, sizeof(trailer), /*timeout_ms=*/-1,
-                           /*started=*/true)) {
-            case IoStatus::Ok: break;
-            case IoStatus::Timeout:
-            case IoStatus::Stalled:
-            case IoStatus::Closed: return RecvStatus::Corrupt;
-        }
-        std::uint32_t wire_crc = 0;
-        for (int i = 0; i < 4; ++i)
-            wire_crc |= static_cast<std::uint32_t>(trailer[i]) << (8 * i);
-        if (wire_crc != crc32c(payload)) return RecvStatus::Corrupt;
+    // Trailer: CRC32C of the payload. A mismatch is Corrupt — caught
+    // here, before the payload decoder ever sees the bytes.
+    std::uint8_t trailer[4];
+    switch (read_exact(trailer, sizeof(trailer), /*timeout_ms=*/-1,
+                       /*started=*/true)) {
+        case IoStatus::Ok: break;
+        case IoStatus::Timeout:
+        case IoStatus::Stalled:
+        case IoStatus::Closed: return RecvStatus::Corrupt;
     }
+    std::uint32_t wire_crc = 0;
+    for (int i = 0; i < 4; ++i)
+        wire_crc |= static_cast<std::uint32_t>(trailer[i]) << (8 * i);
+    if (wire_crc != crc32c(payload)) return RecvStatus::Corrupt;
     return RecvStatus::Ok;
 }
 

@@ -6,18 +6,15 @@
 /// loopback peers, TCP listen/accept/connect for real multi-process
 /// fleets).
 ///
-/// Two frame formats exist, negotiated per connection by the wire-level
-/// Hello exchange (see wire.hpp):
+/// Every frame, from the first byte of a connection, has one format
+/// (frame version 2, checked by the wire-level Hello, see wire.hpp):
 ///
-///   v1:  [u32 length (LE)][length payload bytes]
-///   v2:  [u32 length (LE)][length payload bytes][u32 CRC32C (LE)]
+///   [u32 length (LE)][length payload bytes][u32 CRC32C (LE)]
 ///
-/// The v2 trailer is the CRC32C of the payload bytes, so garbage on the
+/// The trailer is the CRC32C of the payload bytes, so garbage on the
 /// stream is caught at the frame layer (RecvStatus::Corrupt) before the
 /// strict payload decoder runs. The length prefix counts payload bytes
-/// only in both formats. A channel starts in v1 (Hello frames always
-/// travel as v1); set_frame_version(2) switches both directions once the
-/// exchange settles.
+/// only.
 ///
 /// Frames are bounded so a garbage length prefix is rejected as Corrupt
 /// instead of driving a giant allocation. The bound defaults to
@@ -94,12 +91,6 @@ public:
     /// Closed / false. Safe to call repeatedly.
     void shutdown();
 
-    /// Switches the frame format (1 = bare, 2 = CRC32C trailer) for both
-    /// send and recv. Call only between frames, after the wire Hello
-    /// exchange has settled on a version.
-    void set_frame_version(int version);
-    [[nodiscard]] int frame_version() const { return frame_version_; }
-
     /// Raises (or lowers) this channel's frame payload bound for both
     /// directions; 0 restores the kMaxFrameBytes default. A received
     /// length prefix beyond the bound is still RecvStatus::Corrupt, and
@@ -124,7 +115,6 @@ public:
 
 private:
     int fd_{-1};
-    int frame_version_{1};
     std::uint32_t max_frame_bytes_{kMaxFrameBytes};
     int mid_frame_idle_ms_{kDefaultMidFrameIdleMs};
 

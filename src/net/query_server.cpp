@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <stdexcept>
 #include <utility>
 
@@ -89,9 +88,12 @@ std::uint16_t QueryServer::listen(std::uint16_t port) {
 
 void QueryServer::accept_loop() {
     for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR) continue;
+        // tcp_accept sets TCP_NODELAY: without it a small reply written
+        // behind another waits on Nagle plus the client's delayed ACK.
+        int fd = -1;
+        try {
+            fd = tcp_accept(listen_fd_);
+        } catch (const std::runtime_error&) {
             return;  // stop() shut the listen socket down
         }
         serve_fd(fd);

@@ -56,7 +56,6 @@ public:
         MTG_EXPECTS(options.reconnect_backoff_ms >= 1);
         MTG_EXPECTS(options.reconnect_backoff_max_ms >=
                     options.reconnect_backoff_ms);
-        MTG_EXPECTS(options.frame_version == 0 || options.frame_version == 1);
         const auto now = steady::now();
         peers_.reserve(configs.size());
         for (PeerConfig& config : configs) {
@@ -258,13 +257,10 @@ private:
     // -------------------------------------------------------- handshake --
 
     /// Runs the coordinator side of the Hello exchange on a fresh
-    /// connection (before its receiver exists — recv here is safe).
-    /// frame_version 1 pins bare v1 frames and skips the exchange
-    /// entirely for pre-negotiation peers.
+    /// connection (before its receiver exists — recv here is safe). The
+    /// peer must echo this build's frame version.
     [[nodiscard]] bool hello_exchange(FrameChannel& channel) const {
-        if (options_.frame_version == 1) return true;
-        if (!channel.send(net::encode_hello({net::kMaxFrameVersion})))
-            return false;
+        if (!channel.send(net::encode_hello({}))) return false;
         std::vector<std::uint8_t> payload;
         if (channel.recv(payload, options_.connect_timeout_ms) !=
             FrameChannel::RecvStatus::Ok)
@@ -275,11 +271,8 @@ private:
         } catch (const net::WireFormatError&) {
             return false;
         }
-        if (reply.type != MessageType::Hello) return false;
-        const int agreed = reply.hello.max_frame_version;
-        if (agreed < 1 || agreed > net::kMaxFrameVersion) return false;
-        channel.set_frame_version(agreed);
-        return true;
+        return reply.type == MessageType::Hello &&
+               reply.hello.version == net::kFrameVersion;
     }
 
     // ----------------------------------------------------- receiver side --

@@ -1,16 +1,15 @@
 #pragma once
 
 /// \file remote_backend.hpp
-/// engine::RemoteBackend — the fourth Backend: fault simulation sharded
+/// engine::RemoteBackend — the third Backend: fault simulation sharded
 /// across a *supervised* fleet of worker peers over sockets.
 ///
 /// The coordinator splits every population into contiguous ranges aligned
-/// to whole 504-lane W=8 blocks (engine::shard_ranges — the exact split
-/// ShardedBackend rehearsed in-process), ships each range as a wire.hpp
-/// Query to a peer, and merges the replies exactly like ShardedBackend
-/// does: per-fault verdicts and traces concatenate by range position, the
-/// all-detected verdict ANDs (with early exit — an escaping range marks
-/// the remaining ones moot).
+/// to whole 504-lane W=8 blocks (engine::shard_ranges), ships each range
+/// as a wire.hpp Query to a peer, and merges the replies: per-fault
+/// verdicts and traces concatenate by range position, the all-detected
+/// verdict ANDs (with early exit — an escaping range marks the remaining
+/// ones moot).
 ///
 /// Peer lifecycle — every peer runs the state machine
 ///
@@ -95,10 +94,6 @@ struct RemoteOptions {
     std::uint64_t backoff_seed{1};
     /// Timeout for (re)connect attempts and the Hello reply.
     int connect_timeout_ms{2000};
-    /// Frame version policy: 0 negotiates the highest both ends speak via
-    /// the Hello exchange; 1 pins bare v1 frames and skips the Hello
-    /// entirely (for pre-negotiation peers).
-    int frame_version{0};
     /// Frame payload cap applied to every peer channel (0 = the default
     /// net::kMaxFrameBytes, 64 MiB). Raise it when Traces /
     /// DictionarySweep replies for large word memories exceed the

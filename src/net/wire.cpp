@@ -404,7 +404,7 @@ std::vector<std::uint8_t> encode_error(const WireFault& error) {
 std::vector<std::uint8_t> encode_hello(const WireHello& hello) {
     Writer w;
     put_header(w, MessageType::Hello);
-    w.u8(static_cast<std::uint8_t>(hello.max_frame_version));
+    w.u8(static_cast<std::uint8_t>(hello.version));
     return w.take();
 }
 
@@ -498,9 +498,7 @@ Message decode_message(std::span<const std::uint8_t> payload) {
         }
         case static_cast<std::uint8_t>(MessageType::Hello): {
             message.type = MessageType::Hello;
-            const std::uint8_t offered = r.u8();
-            if (offered < 1) throw WireFormatError("bad hello version");
-            message.hello.max_frame_version = offered;
+            message.hello.version = r.u8();
             break;
         }
         case static_cast<std::uint8_t>(MessageType::Ping): {

@@ -21,14 +21,10 @@
 ///             all-detected byte, or serialized guaranteed traces.
 ///   Error   — a worker-side failure description; the coordinator treats
 ///             it like a dead peer and re-dispatches the range.
-///   Hello   — frame-version negotiation: the coordinator opens every
-///             connection with Hello{max frame version it speaks}; the
-///             worker replies Hello{min(offered, own max)} and both ends
-///             switch FrameChannel to the agreed version (v2 = CRC32C
-///             trailer, see framing.hpp). Hello frames themselves always
-///             travel as v1 so any version can parse them. A worker that
-///             receives a Query as its first message is talking to a v1
-///             coordinator and simply serves v1 — old peers stay served.
+///   Hello   — the connection-opening check: the coordinator opens every
+///             connection with Hello{kFrameVersion}; a worker speaking
+///             the same frame version echoes it, any other version gets
+///             an Error and the connection closes (no negotiation).
 ///   Ping    — coordinator heartbeat probe carrying a nonce; answered
 ///   Pong    — immediately by the worker, echoing the nonce. The peer
 ///             supervisor uses pong age to drive the Alive → Suspect →
@@ -62,10 +58,9 @@ namespace mtg::net {
 /// Bumped on any incompatible payload change; peers reject mismatches.
 inline constexpr std::uint8_t kWireVersion = 1;
 
-/// Highest *frame* version this build speaks (see framing.hpp): 2 adds
-/// the CRC32C trailer. Negotiated per connection by the Hello exchange;
-/// payload encoding is version 1 in both frame formats.
-inline constexpr int kMaxFrameVersion = 2;
+/// The *frame* version this build speaks (see framing.hpp): 2 is the
+/// CRC32C-trailed frame. Checked per connection by the Hello exchange.
+inline constexpr int kFrameVersion = 2;
 
 /// Thrown by the decoder on any malformed payload.
 class WireFormatError : public std::runtime_error {
@@ -126,9 +121,9 @@ struct WireFault {
     std::string message;
 };
 
-/// Frame-version negotiation (both directions: offer and acceptance).
+/// Frame-version check (both directions: offer and echo).
 struct WireHello {
-    int max_frame_version{kMaxFrameVersion};
+    int version{kFrameVersion};
 };
 
 /// Heartbeat probe / reply; the nonce matches a Pong to its Ping.

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "engine/backend.hpp"
@@ -58,11 +59,9 @@ void serve_connection(int fd, const WorkerHooks& hooks) {
     channel.set_max_frame_bytes(hooks.max_frame_bytes);
     const std::unique_ptr<engine::Backend> backend =
         engine::make_packed_backend();
-    const int own_max = hooks.max_frame_version > 0 ? hooks.max_frame_version
-                                                    : kMaxFrameVersion;
     std::vector<std::uint8_t> payload;
     int queries = 0;
-    bool first_message = true;
+    bool opened = false;
     for (;;) {
         const FrameChannel::RecvStatus status =
             channel.recv(payload, /*timeout_ms=*/-1);
@@ -78,24 +77,30 @@ void serve_connection(int fd, const WorkerHooks& hooks) {
             return;
         }
 
-        // Negotiation and heartbeat traffic is not a query: no hooks, no
-        // counters.
+        // The opening check and heartbeat traffic are not queries: no
+        // hooks, no counters.
         if (message.type == MessageType::Hello) {
-            if (!first_message) {
+            if (opened) {
                 (void)channel.send(
                     encode_error({0, "Hello only opens a connection"}));
                 return;
             }
-            first_message = false;
-            const int agreed =
-                std::min(message.hello.max_frame_version, own_max);
-            // The acceptance travels in the offerer's frame version (v1),
-            // THEN the channel switches.
-            if (!channel.send(encode_hello({agreed}))) return;
-            channel.set_frame_version(agreed);
+            if (message.hello.version != kFrameVersion) {
+                (void)channel.send(encode_error(
+                    {0, "frame version mismatch: got " +
+                            std::to_string(message.hello.version) +
+                            ", expected " + std::to_string(kFrameVersion)}));
+                return;
+            }
+            if (!channel.send(encode_hello({}))) return;
+            opened = true;
             continue;
         }
-        first_message = false;
+        if (!opened) {
+            (void)channel.send(
+                encode_error({0, "a connection must open with Hello"}));
+            return;
+        }
         if (message.type == MessageType::Ping) {
             if (!channel.send(encode_pong({message.ping.nonce}))) return;
             continue;

@@ -11,13 +11,11 @@
 /// coordinator matches replies by id, not by order, so pipelining is
 /// legal).
 ///
-/// Frame-version negotiation: when the first message on a connection is
-/// a Hello, the worker replies Hello{min(offered, own max)} and switches
-/// the channel to the agreed frame version (v2 = CRC32C trailer). When
-/// the first message is a Query, the peer is a v1 coordinator and the
-/// connection stays v1 — old coordinators are served unchanged. Ping
-/// messages are answered with a Pong echoing the nonce at any point;
-/// they are not queries (hooks and counters ignore them).
+/// Every connection opens with a Hello: a matching frame version is
+/// echoed back, anything else — another version, or any other message
+/// first — gets an Error and the connection closes. Ping messages are
+/// answered with a Pong echoing the nonce; they are not queries (hooks
+/// and counters ignore them).
 ///
 /// WorkerHooks exist for the transport's fault-injection tests (and for
 /// nothing else): a per-query artificial delay models a straggler, dying
@@ -71,10 +69,6 @@ struct WorkerHooks {
     /// pre-PR 9 receiver hung here for the whole stall. -1 = never.
     int dribble_after_queries{-1};
     int dribble_stall_ms{1000};
-    /// Highest frame version this worker admits in the Hello exchange
-    /// (0 = the build's kMaxFrameVersion). Pinning 1 models a v1-only
-    /// peer for the negotiation tests.
-    int max_frame_version{0};
     /// Frame payload cap for this connection (0 = net::kMaxFrameBytes).
     /// Must match the coordinator's RemoteOptions::max_frame_bytes when
     /// raised — large-word-memory Traces replies exceed the 64 MiB

@@ -99,7 +99,8 @@ namespace {
 __attribute__((target("avx2,tune=haswell"), flatten)) void word_pass_avx2(
     const WordPlan& plan, const InjectedBitFault* faults, int count,
     unsigned choice, LaneBlock<4>* detected_out,
-    std::vector<LaneBlock<4>>* site_now, WordObsSink<LaneBlock<4>>* obs) {
+    std::vector<LaneBlock<4>>* site_now,
+    SparseGuaranteedRuns<LaneBlock<4>>* obs) {
     word_run_pass<LaneBlock<4>>(plan, faults, count, choice, detected_out,
                                 site_now, obs);
 }
@@ -107,7 +108,8 @@ __attribute__((target("avx2,tune=haswell"), flatten)) void word_pass_avx2(
 __attribute__((target("avx512f"), flatten)) void word_pass_avx512(
     const WordPlan& plan, const InjectedBitFault* faults, int count,
     unsigned choice, LaneBlock<8>* detected_out,
-    std::vector<LaneBlock<8>>* site_now, WordObsSink<LaneBlock<8>>* obs) {
+    std::vector<LaneBlock<8>>* site_now,
+    SparseGuaranteedRuns<LaneBlock<8>>* obs) {
     word_run_pass<LaneBlock<8>>(plan, faults, count, choice, detected_out,
                                 site_now, obs);
 }
@@ -118,7 +120,7 @@ word_pass_avx512_as_avx2(const WordPlan& plan,
                          const InjectedBitFault* faults, int count,
                          unsigned choice, LaneBlock<8>* detected_out,
                          std::vector<LaneBlock<8>>* site_now,
-                         WordObsSink<LaneBlock<8>>* obs) {
+                         SparseGuaranteedRuns<LaneBlock<8>>* obs) {
     word_run_pass<LaneBlock<8>>(plan, faults, count, choice, detected_out,
                                 site_now, obs);
 }

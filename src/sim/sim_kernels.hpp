@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,22 +65,13 @@ void sim_run_pass(const SimPlan& plan, const InjectedFault* faults,
     const int n = plan.opts.memory_size;
     const Block used = block_used_lanes<Block>(count);
 
-    // Per-pass scratch pooling (ROADMAP SIMD follow-on (a)): pool workers
-    // are long-lived, so a thread-local memory re-armed with reset()
-    // keeps the plane vectors and the per-fault coupling/static/map
-    // tables at their high-water capacity instead of reallocating 63·W
-    // injects per chunk.
-    std::optional<PackedSimMemoryT<Block>> fresh;
-    PackedSimMemoryT<Block>* mem;
-    if (pass_scratch_enabled()) {
-        thread_local PackedSimMemoryT<Block> scratch(n);
-        scratch.reset(n);
-        mem = &scratch;
-    } else {
-        fresh.emplace(n);
-        mem = &*fresh;
-    }
-    PackedSimMemoryT<Block>& memory = *mem;
+    // Per-pass scratch pooling: pool workers are long-lived, so a
+    // thread-local memory re-armed with reset() keeps the plane vectors
+    // and the per-fault coupling/static/map tables at their high-water
+    // capacity instead of reallocating 63·W injects per chunk.
+    thread_local PackedSimMemoryT<Block> scratch(n);
+    scratch.reset(n);
+    PackedSimMemoryT<Block>& memory = scratch;
     for (int i = 0; i < count; ++i)
         memory.inject(faults[i], block_lane_bit<Block>(fault_lane(i)));
 

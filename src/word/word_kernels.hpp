@@ -21,18 +21,14 @@
 ///
 /// The (background, site) read grid is small and stays dense
 /// (sim::detail::GuaranteedMasks). The (background, site, word, bit)
-/// observation grid is O(words · width) dense but a fault lane only
-/// mismatches at words holding one of its victim bits, so by default it
-/// is kept as site-major sparse runs (sim::detail::SparseGuaranteedRuns:
-/// sorted (word, bit, lanes) entries per (background, site), intersected
-/// by merge-walking) — O(touched cells) memory, which unlocks word
-/// memories the dense grid cannot allocate (words=4096 × width=8 needs
-/// multiple GiB dense, a few MiB sparse). The PR 4 dense grid stays
-/// compiled behind sim::set_dense_trace_grids(true) for one release so
-/// the sparse-vs-dense differential can exercise both.
+/// observation grid would be O(words · width) dense, but a fault lane
+/// only mismatches at words holding one of its victim bits, so it is kept
+/// as site-major sparse runs (sim::detail::SparseGuaranteedRuns: sorted
+/// (word, bit, lanes) entries per (background, site), intersected by
+/// merge-walking) — O(touched cells) memory, so words=4096 × width=8
+/// needs a few MiB instead of multiple GiB.
 
 #include <atomic>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,6 +55,7 @@ using sim::block_test;
 using sim::block_used_lanes;
 using sim::block_zero;
 using sim::fault_lane;
+using sim::detail::SparseGuaranteedRuns;
 
 /// Everything a WordBatchRunner precomputes once; shared by the kernels of
 /// every width.
@@ -78,29 +75,9 @@ inline std::size_t word_site_index(const WordPlan& plan, std::size_t bkg,
     return bkg * plan.sites.size() + site;
 }
 
-/// Flat coordinate of the (background, site, word, bit) observation grid.
-inline std::size_t word_obs_index(const WordPlan& plan, std::size_t bkg,
-                                  std::size_t site, int word, int bit) {
-    return ((bkg * plan.sites.size() + site) *
-                static_cast<std::size_t>(plan.opts.words) +
-            static_cast<std::size_t>(word)) *
-               static_cast<std::size_t>(plan.opts.width) +
-           static_cast<std::size_t>(bit);
-}
-
-/// Where a tracing pass records its per-(background, site, word, bit)
-/// observation mismatches: exactly one of the two grids is non-null. The
-/// sparse runs are the default; the dense grid is the test-only fallback
-/// (see set_dense_trace_grids).
-template <typename Block>
-struct WordObsSink {
-    std::vector<Block>* dense{nullptr};
-    sim::detail::SparseGuaranteedRuns<Block>* sparse{nullptr};
-};
-
 /// One full (all backgrounds, fixed ⇕ choice) execution of one chunk;
 /// writes the lanes with at least one definite read mismatch to
-/// `*detected_out`; when site_now/obs_sink are non-null they receive the
+/// `*detected_out`; when site_now/obs_now are non-null they receive the
 /// per-(background, site) and per-(background, site, word, bit) mismatch
 /// masks of this single pass. Pointer-only signature: the AVX-attributed
 /// wrappers and their generic callers disagree on the register convention
@@ -108,31 +85,23 @@ struct WordObsSink {
 template <typename Block>
 using WordPassFn = void (*)(const WordPlan&, const InjectedBitFault*, int,
                             unsigned, Block*, std::vector<Block>*,
-                            WordObsSink<Block>*);
+                            SparseGuaranteedRuns<Block>*);
 
 template <typename Block>
 void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
                    int count, unsigned choice, Block* detected_out,
                    std::vector<Block>* site_now,
-                   WordObsSink<Block>* obs_sink) {
+                   SparseGuaranteedRuns<Block>* obs_now) {
     const Block used = block_used_lanes<Block>(count);
 
-    // Per-pass scratch pooling (ROADMAP SIMD follow-on (a)): workers are
-    // long-lived, so a thread-local memory re-armed with reset() keeps the
-    // plane vectors and the per-fault coupling/static/map tables at their
-    // high-water capacity instead of reallocating 63·W injects per chunk.
-    std::optional<PackedWordMemoryT<Block>> fresh;
-    PackedWordMemoryT<Block>* mem;
-    if (sim::pass_scratch_enabled()) {
-        thread_local PackedWordMemoryT<Block> scratch(plan.opts.words,
-                                                      plan.opts.width);
-        scratch.reset(plan.opts.words, plan.opts.width);
-        mem = &scratch;
-    } else {
-        fresh.emplace(plan.opts.words, plan.opts.width);
-        mem = &*fresh;
-    }
-    PackedWordMemoryT<Block>& memory = *mem;
+    // Per-pass scratch pooling: workers are long-lived, so a thread-local
+    // memory re-armed with reset() keeps the plane vectors and the
+    // per-fault coupling/static/map tables at their high-water capacity
+    // instead of reallocating 63·W injects per chunk.
+    thread_local PackedWordMemoryT<Block> scratch(plan.opts.words,
+                                                  plan.opts.width);
+    scratch.reset(plan.opts.words, plan.opts.width);
+    PackedWordMemoryT<Block>& memory = scratch;
     for (int i = 0; i < count; ++i)
         memory.inject(faults[i], block_lane_bit<Block>(fault_lane(i)));
 
@@ -178,7 +147,7 @@ void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
                                 if (block_none(mismatch)) continue;
                                 detected |= mismatch;
                                 site_mask |= mismatch;
-                                if (obs_sink != nullptr) {
+                                if (obs_now != nullptr) {
                                     const auto site = static_cast<
                                         std::size_t>(plan.site_id[e][o]);
                                     // A site reads each word once per
@@ -186,14 +155,9 @@ void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
                                     // (word, bit) key is fresh — the
                                     // append-once invariant the sparse
                                     // runs intersect under.
-                                    if (obs_sink->sparse != nullptr)
-                                        obs_sink->sparse->append(
-                                            word_site_index(plan, k, site),
-                                            word, bit, mismatch);
-                                    else
-                                        (*obs_sink->dense)[word_obs_index(
-                                            plan, k, site, word, bit)] |=
-                                            mismatch;
+                                    obs_now->append(
+                                        word_site_index(plan, k, site),
+                                        word, bit, mismatch);
                                 }
                             }
                             if (site_now != nullptr &&
@@ -275,19 +239,15 @@ bool word_detects_all(const WordPlan& plan, WordPassFn<Block> pass,
 }
 
 /// Per-coordinate failing-lane masks of one population chunk, already
-/// intersected across every ⇕ expansion (see word_site_index /
-/// word_obs_index for the grid layouts). Observations live in exactly one
-/// of the two representations: sparse runs per (background, site) by
-/// default, the flat dense grid when sim::dense_trace_grids() was set.
+/// intersected across every ⇕ expansion (see word_site_index for the
+/// grid layout).
 template <typename Block>
 struct WordChunkResult {
     Block detected{};
     std::vector<Block> site_fail;  ///< [background × site]
-    /// Sparse: per (background × site) run sorted by (word, bit).
+    /// Per (background × site) run sorted by (word, bit).
     std::vector<std::vector<sim::detail::SparseObsEntry<Block>>>
         sparse_observations;
-    std::vector<Block> observation_fail;  ///< dense fallback only
-    bool dense{false};
 };
 
 template <typename Block>
@@ -302,82 +262,25 @@ WordChunkResult<Block> word_run_chunk(const WordPlan& plan,
 
     WordChunkResult<Block> out;
     out.detected = used;
-    out.dense = sim::dense_trace_grids();
     sim::detail::GuaranteedMasks<Block> sites(site_cells, used);
+    SparseGuaranteedRuns<Block> observations(site_cells);
 
     Block pass_detected = block_zero<Block>();
-    if (out.dense) {
-        // PR 4 dense fallback (test-only, one release): the full
-        // (background × site × word × bit) slab, AND-ed per pass.
-        const std::size_t obs_cells =
-            site_cells * static_cast<std::size_t>(plan.opts.words) *
-            static_cast<std::size_t>(plan.opts.width);
-        sim::detail::GuaranteedMasks<Block> observations(obs_cells, used);
-        for (unsigned choice : plan.expansions) {
-            sites.begin_pass();
-            observations.begin_pass();
-            WordObsSink<Block> sink{observations.pass_grid(), nullptr};
-            pass(plan, faults, count, choice, &pass_detected,
-                 sites.pass_grid(), &sink);
-            out.detected &= pass_detected;
-            sites.commit_pass();
-            observations.commit_pass();
-        }
-        out.observation_fail.resize(obs_cells);
-        for (std::size_t s = 0; s < obs_cells; ++s)
-            out.observation_fail[s] = observations.guaranteed(s);
-    } else {
-        sim::detail::SparseGuaranteedRuns<Block> observations(site_cells);
-        for (unsigned choice : plan.expansions) {
-            sites.begin_pass();
-            observations.begin_pass();
-            WordObsSink<Block> sink{nullptr, &observations};
-            pass(plan, faults, count, choice, &pass_detected,
-                 sites.pass_grid(), &sink);
-            out.detected &= pass_detected;
-            sites.commit_pass();
-            observations.commit_pass();
-        }
-        out.sparse_observations = observations.take();
+    for (unsigned choice : plan.expansions) {
+        sites.begin_pass();
+        observations.begin_pass();
+        pass(plan, faults, count, choice, &pass_detected, sites.pass_grid(),
+             &observations);
+        out.detected &= pass_detected;
+        sites.commit_pass();
+        observations.commit_pass();
     }
+    out.sparse_observations = observations.take();
 
     out.site_fail.resize(site_cells);
     for (std::size_t s = 0; s < site_cells; ++s)
         out.site_fail[s] = sites.guaranteed(s);
     return out;
-}
-
-/// Lane-major trace extraction from the dense fallback grid — the PR 4
-/// loop, kept verbatim for the sparse-vs-dense differential.
-template <typename Block>
-void word_extract_dense(const WordPlan& plan,
-                        const WordChunkResult<Block>& chunk,
-                        WordRunTrace* traces, int count) {
-    for (int i = 0; i < count; ++i) {
-        const int lane = fault_lane(i);
-        WordRunTrace& trace = traces[i];
-        // Extraction order IS the canonical trace order: background,
-        // then textual site, then ascending word (bits as a mask).
-        for (std::size_t k = 0; k < plan.backgrounds.size(); ++k)
-            for (std::size_t s = 0; s < plan.sites.size(); ++s) {
-                if (block_test(chunk.site_fail[word_site_index(plan, k, s)],
-                               lane))
-                    trace.failing_reads.push_back(
-                        {static_cast<int>(k), plan.sites[s]});
-                for (int w = 0; w < plan.opts.words; ++w) {
-                    std::uint64_t bits = 0;
-                    for (int b = 0; b < plan.opts.width; ++b)
-                        if (block_test(
-                                chunk.observation_fail[word_obs_index(
-                                    plan, k, s, w, b)],
-                                lane))
-                            bits |= std::uint64_t{1} << b;
-                    if (bits != 0)
-                        trace.failing_observations.push_back(
-                            {static_cast<int>(k), plan.sites[s], w, bits});
-                }
-            }
-    }
 }
 
 template <typename Block>
@@ -401,17 +304,13 @@ std::vector<WordRunTrace> word_run(
         for (int i = 0; i < count; ++i)
             result[base + static_cast<std::size_t>(i)].detected =
                 block_test(chunk.detected, fault_lane(i));
-        if (chunk.dense) {
-            word_extract_dense(plan, chunk, result.data() + base, count);
-            return;
-        }
-        // Sparse extraction, entry-major: lane-major probing would undo
-        // the sparse win (O(lanes · words · width) per coord), so walk
-        // each (background, site) run once and fan every entry's lane
-        // mask out to the per-fault traces. Coordinates ascend (bkg,
-        // site) and runs are sorted by (word, bit), so each trace sees
-        // its words in ascending order — the canonical order the dense
-        // lane-major loop produced.
+        // Entry-major extraction: lane-major probing would undo the
+        // sparse win (O(lanes · words · width) per coord), so walk each
+        // (background, site) run once and fan every entry's lane mask out
+        // to the per-fault traces. Coordinates ascend (bkg, site) and runs
+        // are sorted by (word, bit), so each trace sees its words in
+        // ascending order — the canonical trace order (background, then
+        // textual site, then ascending word).
         const auto lane_result = [&](int lane) -> WordRunTrace& {
             // Inverse of fault_lane: population index of a fault lane.
             return result[base +

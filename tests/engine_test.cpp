@@ -1,10 +1,10 @@
 /// Engine ≡ legacy API: every Query kind must match the old free
 /// functions and the scalar oracles bit-for-bit across execution
-/// backends (Scalar vs Packed vs Sharded with shard counts {1, 2, 3}),
+/// backends (Scalar vs Packed vs Remote over {1, 2, 3} loopback peers),
 /// lane widths {1, 4, 8} and worker counts {1, 2, hardware_concurrency}
-/// — the backend, width, pool and shard count are execution details,
+/// — the backend, width, pool and peer count are execution details,
 /// never semantic ones. Also covers the Engine's population cache and
-/// the chunk-aligned shard split on multi-block populations.
+/// the chunk-aligned shard_ranges split the remote coordinator scatters.
 
 #include <gtest/gtest.h>
 
@@ -43,19 +43,8 @@ std::vector<unsigned> worker_counts() {
     return {1u, 2u, hardware};
 }
 
-/// Every (backend, shards) combination the differential sweeps.
-struct BackendCase {
-    BackendKind kind;
-    int shards;
-    const char* label;
-};
-
-const BackendCase kBackendCases[] = {
-    {BackendKind::Packed, 0, "packed"},
-    {BackendKind::Sharded, 1, "sharded/1"},
-    {BackendKind::Sharded, 2, "sharded/2"},
-    {BackendKind::Sharded, 3, "sharded/3"},
-};
+/// The built-in backends the cheap sweeps run on both of.
+const BackendKind kBackendKinds[] = {BackendKind::Scalar, BackendKind::Packed};
 
 const std::vector<FaultKind> kBitKinds = {
     FaultKind::Saf0,     FaultKind::TfUp, FaultKind::Rdf1,
@@ -117,26 +106,22 @@ TEST(EngineDifferential, BitQueriesMatchScalarOracleEverywhere) {
         EXPECT_EQ(sim::first_uncovered(test, kBitKinds, opts).has_value(),
                   !ref_all.all);
 
-        for (const BackendCase& backend : kBackendCases) {
-            for (int width : {1, 4, 8}) {
-                for (unsigned workers : worker_counts()) {
-                    util::ThreadPool pool(workers);
-                    const Engine eng(EngineConfig{.backend = backend.kind,
-                                                  .pool = &pool,
-                                                  .lane_width = width,
-                                                  .shards = backend.shards});
-                    query.want = Want::Detects;
-                    EXPECT_EQ(eng.run(query).detected, ref_detects.detected)
-                        << name << ' ' << backend.label << " W" << width
-                        << " workers " << workers;
-                    query.want = Want::DetectsAll;
-                    EXPECT_EQ(eng.run(query).all, ref_all.all)
-                        << name << ' ' << backend.label << " W" << width
-                        << " workers " << workers;
-                    query.want = Want::Traces;
-                    expect_traces_eq(eng.run(query).traces, ref_traces.traces,
-                                     backend.label);
-                }
+        for (int width : {1, 4, 8}) {
+            for (unsigned workers : worker_counts()) {
+                util::ThreadPool pool(workers);
+                EngineConfig config;
+                config.pool = &pool;
+                config.lane_width = width;
+                const Engine eng(config);
+                query.want = Want::Detects;
+                EXPECT_EQ(eng.run(query).detected, ref_detects.detected)
+                    << name << " W" << width << " workers " << workers;
+                query.want = Want::DetectsAll;
+                EXPECT_EQ(eng.run(query).all, ref_all.all)
+                    << name << " W" << width << " workers " << workers;
+                query.want = Want::Traces;
+                expect_traces_eq(eng.run(query).traces, ref_traces.traces,
+                                 name);
             }
         }
     }
@@ -174,26 +159,22 @@ TEST(EngineDifferential, WordQueriesMatchScalarOracleEverywhere) {
                   scalar.run(single).all);
     }
 
-    for (const BackendCase& backend : kBackendCases) {
-        for (int width : {1, 4, 8}) {
-            for (unsigned workers : worker_counts()) {
-                util::ThreadPool pool(workers);
-                const Engine eng(EngineConfig{.backend = backend.kind,
-                                              .pool = &pool,
-                                              .lane_width = width,
-                                              .shards = backend.shards});
-                query.want = Want::Detects;
-                EXPECT_EQ(eng.run(query).detected, ref_detects.detected)
-                    << backend.label << " W" << width << " workers "
-                    << workers;
-                query.want = Want::DetectsAll;
-                EXPECT_EQ(eng.run(query).all, ref_all.all)
-                    << backend.label << " W" << width << " workers "
-                    << workers;
-                query.want = Want::Traces;
-                expect_word_traces_eq(eng.run(query).word_traces,
-                                      ref_traces.word_traces, backend.label);
-            }
+    for (int width : {1, 4, 8}) {
+        for (unsigned workers : worker_counts()) {
+            util::ThreadPool pool(workers);
+            EngineConfig config;
+            config.pool = &pool;
+            config.lane_width = width;
+            const Engine eng(config);
+            query.want = Want::Detects;
+            EXPECT_EQ(eng.run(query).detected, ref_detects.detected)
+                << "W" << width << " workers " << workers;
+            query.want = Want::DetectsAll;
+            EXPECT_EQ(eng.run(query).all, ref_all.all)
+                << "W" << width << " workers " << workers;
+            query.want = Want::Traces;
+            expect_word_traces_eq(eng.run(query).word_traces,
+                                  ref_traces.word_traces, "packed");
         }
     }
 }
@@ -206,50 +187,52 @@ TEST(EngineDifferential, DictionarySweepMatchesPlacedGuaranteedTraces) {
 
     const std::vector<fault::FaultInstance> instances =
         fault::instantiate(kinds);
-    for (const BackendCase& backend : kBackendCases) {
-        const Engine eng(EngineConfig{.backend = backend.kind,
-                                      .shards = backend.shards});
+    for (const BackendKind backend : kBackendKinds) {
+        EngineConfig config;
+        config.backend = backend;
+        const Engine eng(config);
+        const char* label = eng.backend().name();
         const Result sweep = eng.dictionary_sweep(test, kinds, opts);
-        ASSERT_EQ(sweep.instances, instances) << backend.label;
-        ASSERT_EQ(sweep.traces.size(), instances.size()) << backend.label;
+        ASSERT_EQ(sweep.instances, instances) << label;
+        ASSERT_EQ(sweep.traces.size(), instances.size()) << label;
         for (std::size_t i = 0; i < instances.size(); ++i) {
             const auto placed =
                 sim::place_instance(instances[i], opts.memory_size);
             EXPECT_EQ(sweep.traces[i].failing_observations,
                       sim::guaranteed_failing_observations(test, placed,
                                                            opts))
-                << backend.label << " #" << i;
+                << label << " #" << i;
             EXPECT_EQ(sweep.traces[i].failing_reads,
                       sim::guaranteed_failing_reads(test, placed, opts))
-                << backend.label << " #" << i;
+                << label << " #" << i;
         }
     }
 }
 
-TEST(EngineDifferential, ShardedSplitsMultiBlockPopulations) {
-    // n=24 -> 552 two-cell faults: more than one 504-lane block, so a
-    // shard count of 2+ actually splits the range. The merged per-fault
-    // verdicts and traces must equal the unsharded packed answers.
-    const sim::RunOptions opts{.memory_size = 24, .max_any_expansion = 6};
-    const auto& test = march::march_c_minus();
-    const auto population =
-        sim::full_population(FaultKind::CfidUp0, opts.memory_size);
-    ASSERT_GT(population.size(), std::size_t{504});
-
-    const Engine packed(EngineConfig{.backend = BackendKind::Packed});
-    const auto want_detects = packed.detects(test, population, opts);
-    const auto want_traces = packed.traces(test, population, opts);
-    for (int shards : {2, 3}) {
-        const Engine sharded(EngineConfig{.backend = BackendKind::Sharded,
-                                          .shards = shards});
-        EXPECT_EQ(sharded.detects(test, population, opts), want_detects)
-            << shards;
-        expect_traces_eq(sharded.traces(test, population, opts), want_traces,
-                         "sharded multi-block");
-        EXPECT_EQ(
-            sharded.covers_everywhere(test, FaultKind::CfidUp0, opts),
-            packed.covers_everywhere(test, FaultKind::CfidUp0, opts))
-            << shards;
+TEST(ShardRanges, AlignedContiguousAndCovering) {
+    constexpr std::size_t kBlock = 63 * 8;
+    EXPECT_TRUE(engine::shard_ranges(0, 3).empty());
+    for (const std::size_t total :
+         {std::size_t{1}, kBlock - 1, kBlock, kBlock + 1, 5 * kBlock + 17}) {
+        const std::size_t blocks = (total + kBlock - 1) / kBlock;
+        for (const int shards : {-1, 0, 1, 2, 3, 7, 64}) {
+            const auto ranges = engine::shard_ranges(total, shards);
+            // shards <= 0 behaves as one shard; never more ranges than
+            // 504-lane blocks, and never an empty range.
+            const std::size_t want =
+                std::min<std::size_t>(blocks,
+                                      static_cast<std::size_t>(
+                                          std::max(shards, 1)));
+            ASSERT_EQ(ranges.size(), want) << total << '/' << shards;
+            std::size_t next = 0;
+            for (const auto& [begin, end] : ranges) {
+                EXPECT_EQ(begin, next) << total << '/' << shards;
+                EXPECT_LT(begin, end) << total << '/' << shards;
+                EXPECT_EQ(begin % kBlock, 0u) << total << '/' << shards;
+                next = end;
+            }
+            EXPECT_EQ(next, total) << total << '/' << shards;
+        }
     }
 }
 
@@ -297,6 +280,11 @@ TEST(EngineRemote, BitQueriesMatchPackedOverLoopbackPeers) {
         ASSERT_EQ(sweep.instances, ref_sweep.instances) << peers << " peers";
         expect_traces_eq(sweep.traces, ref_sweep.traces,
                          "remote dictionary sweep");
+        // CfidUp0 alone spans two 504-lane blocks at n=24, so the merged
+        // all-detected verdict ANDs across split ranges.
+        EXPECT_EQ(remote.covers_everywhere(test, FaultKind::CfidUp0, opts),
+                  packed.covers_everywhere(test, FaultKind::CfidUp0, opts))
+            << peers << " peers";
     }
 }
 
@@ -521,41 +509,6 @@ TEST(EngineRemote, FlappedPeerReconnectsAndServesRanges) {
     EXPECT_EQ(remote.detects(test, population, opts), want_detects);
 }
 
-TEST(EngineRemote, PinnedV1FramesStillServe) {
-    // frame_version = 1 skips the Hello exchange and speaks bare v1
-    // frames — the pre-negotiation wire format keeps working end to end.
-    const sim::RunOptions opts{.memory_size = 24, .max_any_expansion = 6};
-    const auto& test = march::march_c_minus();
-    const auto population =
-        sim::full_population(fault::FaultKind::CfidUp0, opts.memory_size);
-
-    const Engine packed;
-    const auto want_detects = packed.detects(test, population, opts);
-
-    net::LoopbackFleet fleet(2);
-    engine::RemoteOptions options;
-    options.frame_version = 1;
-    const Engine remote(
-        engine::make_remote_backend(fleet.take_fds(), options));
-    EXPECT_EQ(remote.detects(test, population, opts), want_detects);
-}
-
-TEST(EngineRemote, NegotiatesDownToV1OnlyPeers) {
-    // One worker only admits frame v1 in the Hello exchange while the
-    // other speaks v2: per-connection negotiation keeps both serving.
-    const sim::RunOptions opts{.memory_size = 24, .max_any_expansion = 6};
-    const auto& test = march::march_c_minus();
-    const auto population =
-        sim::full_population(fault::FaultKind::CfidUp0, opts.memory_size);
-
-    const Engine packed;
-    const auto want_detects = packed.detects(test, population, opts);
-
-    net::LoopbackFleet fleet(2, {{.max_frame_version = 1}, {}});
-    const Engine remote(engine::make_remote_backend(fleet.take_fds()));
-    EXPECT_EQ(remote.detects(test, population, opts), want_detects);
-}
-
 TEST(EngineRemote, EmptyPopulationNeedsNoNetwork) {
     // An empty population must short-circuit without touching the peers —
     // even a fleet that would corrupt every query never gets the chance.
@@ -726,13 +679,15 @@ TEST(EngineQuery, EmptyPopulationIsVacuouslyCovered) {
     query.test = march::find_march_test("MATS").test;
     query.universe = BitUniverse{{.memory_size = 4}};
     query.want = Want::DetectsAll;
-    for (const BackendCase& backend : kBackendCases) {
-        const Engine eng(EngineConfig{.backend = backend.kind,
-                                      .shards = backend.shards});
-        EXPECT_TRUE(eng.run(query).all) << backend.label;
+    for (const BackendKind backend : kBackendKinds) {
+        EngineConfig config;
+        config.backend = backend;
+        const Engine eng(config);
+        EXPECT_TRUE(eng.run(query).all) << eng.backend().name();
         Query detects = query;
         detects.want = Want::Detects;
-        EXPECT_TRUE(eng.run(detects).detected.empty()) << backend.label;
+        EXPECT_TRUE(eng.run(detects).detected.empty())
+            << eng.backend().name();
     }
 }
 

@@ -3,9 +3,9 @@
 /// every malformed payload must be rejected with WireFormatError (never
 /// accepted, never a crash), and FrameChannel must report the exact
 /// failure taxonomy (Timeout before a frame, Corrupt mid-frame) the
-/// coordinator's fault tolerance is built on. Also covers the wire v2
-/// frame format (CRC32C trailer, Hello negotiation, v1 compatibility),
-/// the partial-write send path and the bounded tcp_connect.
+/// coordinator's fault tolerance is built on. Also covers the CRC32C
+/// frame trailer, the connection-opening Hello check, the partial-write
+/// send path and the bounded tcp_connect.
 
 #include <gtest/gtest.h>
 
@@ -257,12 +257,10 @@ TEST(Crc32c, HardwareAndSoftwareKernelsAgree) {
     }
 }
 
-TEST(Framing, V2FramesRoundTripAndRejectCorruption) {
+TEST(Framing, CrcFramesRoundTripAndRejectCorruption) {
     const auto [a_fd, b_fd] = socket_pair();
     FrameChannel a(a_fd);
     FrameChannel b(b_fd);
-    a.set_frame_version(2);
-    b.set_frame_version(2);
 
     const std::vector<std::uint8_t> frame = {9, 8, 7, 6, 5, 4};
     std::vector<std::uint8_t> payload;
@@ -290,21 +288,20 @@ TEST(Framing, V2FramesRoundTripAndRejectCorruption) {
     EXPECT_EQ(b.recv(payload, 1000), FrameChannel::RecvStatus::Corrupt);
 }
 
-TEST(Framing, HelloNegotiatesV2WithAWorker) {
+TEST(Framing, HelloOpensAConnectionWithAWorker) {
     const auto [coordinator_fd, worker_fd] = socket_pair();
     std::thread worker([fd = worker_fd] { serve_connection(fd); });
     FrameChannel channel(coordinator_fd);
 
-    ASSERT_TRUE(channel.send(encode_hello({kMaxFrameVersion})));
+    ASSERT_TRUE(channel.send(encode_hello({})));
     std::vector<std::uint8_t> payload;
     ASSERT_EQ(channel.recv(payload, 2000), FrameChannel::RecvStatus::Ok);
     const Message reply = decode_message(payload);
     ASSERT_EQ(reply.type, MessageType::Hello);
-    EXPECT_EQ(reply.hello.max_frame_version, 2);
-    channel.set_frame_version(2);
+    EXPECT_EQ(reply.hello.version, kFrameVersion);
 
-    // The agreed connection really speaks v2: a query round-trips and a
-    // ping is answered, all CRC-framed.
+    // The opened connection serves: a ping is answered and a query
+    // round-trips.
     ASSERT_TRUE(channel.send(encode_ping({77})));
     ASSERT_EQ(channel.recv(payload, 2000), FrameChannel::RecvStatus::Ok);
     const Message pong = decode_message(payload);
@@ -324,50 +321,32 @@ TEST(Framing, HelloNegotiatesV2WithAWorker) {
     worker.join();
 }
 
-TEST(Framing, HelloNegotiatesDownToV1OnlyWorker) {
-    const auto [coordinator_fd, worker_fd] = socket_pair();
-    std::thread worker([fd = worker_fd] {
-        serve_connection(fd, {.max_frame_version = 1});
-    });
-    FrameChannel channel(coordinator_fd);
-
-    ASSERT_TRUE(channel.send(encode_hello({kMaxFrameVersion})));
-    std::vector<std::uint8_t> payload;
-    ASSERT_EQ(channel.recv(payload, 2000), FrameChannel::RecvStatus::Ok);
-    const Message reply = decode_message(payload);
-    ASSERT_EQ(reply.type, MessageType::Hello);
-    EXPECT_EQ(reply.hello.max_frame_version, 1);
-    // Both ends stay on bare v1 frames; queries still work.
-    WireQuery query = sample_bit_query();
-    query.range_begin = 0;
-    query.range_end = query.bit_faults.size();
-    ASSERT_TRUE(channel.send(encode_query(query)));
-    ASSERT_EQ(channel.recv(payload, 5000), FrameChannel::RecvStatus::Ok);
-    EXPECT_EQ(decode_message(payload).type, MessageType::Result);
-
-    channel.shutdown();
-    worker.join();
-}
-
-TEST(Framing, V1CoordinatorIsServedWithoutHello) {
-    // A pre-negotiation coordinator opens with a Query; the worker must
-    // serve bare v1 frames exactly as before.
+/// Sends `payload` as a connection's first frame and expects the worker
+/// to answer with an Error and then close the connection.
+void expect_error_then_close(const std::vector<std::uint8_t>& payload) {
     const auto [coordinator_fd, worker_fd] = socket_pair();
     std::thread worker([fd = worker_fd] { serve_connection(fd); });
     FrameChannel channel(coordinator_fd);
 
+    ASSERT_TRUE(channel.send(payload));
+    std::vector<std::uint8_t> reply;
+    ASSERT_EQ(channel.recv(reply, 5000), FrameChannel::RecvStatus::Ok);
+    EXPECT_EQ(decode_message(reply).type, MessageType::Error);
+    EXPECT_EQ(channel.recv(reply, 5000), FrameChannel::RecvStatus::Closed);
+    worker.join();
+}
+
+TEST(Framing, MismatchedHelloVersionGetsErrorAndClose) {
+    // No negotiation: a peer offering any other frame version is refused.
+    expect_error_then_close(encode_hello({kFrameVersion - 1}));
+    expect_error_then_close(encode_hello({kFrameVersion + 1}));
+}
+
+TEST(Framing, QueryBeforeHelloGetsErrorAndClose) {
     WireQuery query = sample_bit_query();
     query.range_begin = 0;
     query.range_end = query.bit_faults.size();
-    ASSERT_TRUE(channel.send(encode_query(query)));
-    std::vector<std::uint8_t> payload;
-    ASSERT_EQ(channel.recv(payload, 5000), FrameChannel::RecvStatus::Ok);
-    const Message result = decode_message(payload);
-    ASSERT_EQ(result.type, MessageType::Result);
-    EXPECT_EQ(result.result.id, query.id);
-
-    channel.shutdown();
-    worker.join();
+    expect_error_then_close(encode_query(query));
 }
 
 TEST(Framing, PartialWritesRoundTripLargeFrames) {
@@ -378,10 +357,8 @@ TEST(Framing, PartialWritesRoundTripLargeFrames) {
     const int tiny = 4096;
     ASSERT_EQ(::setsockopt(a_fd, SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)),
               0);
-    FrameChannel a(a_fd);
+    FrameChannel a(a_fd);  // the CRC trailer rides along as a third chunk
     FrameChannel b(b_fd);
-    a.set_frame_version(2);  // CRC trailer rides along as a third chunk
-    b.set_frame_version(2);
 
     std::vector<std::uint8_t> big(3u << 20);
     for (std::size_t i = 0; i < big.size(); ++i)
@@ -526,6 +503,11 @@ TEST(Framing, SlowButProgressingPeerStillCompletes) {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
             (void)!::write(fd, frame.data() + off, 8);
         }
+        const std::uint32_t crc = crc32c(frame);
+        std::uint8_t trailer[4];
+        for (int i = 0; i < 4; ++i)
+            trailer[i] = static_cast<std::uint8_t>(crc >> (8 * i));
+        (void)!::write(fd, trailer, sizeof(trailer));
     });
     std::vector<std::uint8_t> payload;
     EXPECT_EQ(b.recv(payload, /*timeout_ms=*/-1),

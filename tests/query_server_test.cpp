@@ -170,6 +170,32 @@ TEST(QueryServer, ConcurrentTcpClientsMatchLocalEngineByteForByte) {
     EXPECT_EQ(server.stats().sessions, static_cast<std::size_t>(kClients));
 }
 
+TEST(QueryServer, PipelinedTcpRepliesAreNotHeldByNagle) {
+    // Server-side sessions must set TCP_NODELAY. Without it, a small
+    // reply written while the previous one is still unacknowledged waits
+    // for the client's delayed ACK (40 ms on Linux), so each burst of
+    // pipelined requests below would stall about that long once.
+    QueryServer server;
+    const std::uint16_t port = server.listen(0);
+    QueryClient client("127.0.0.1", port);
+    constexpr int kBursts = 25;
+    constexpr int kPerBurst = 4;
+    QueryRequest ping;
+    ping.op = QueryOp::Ping;
+    const auto start = Clock::now();
+    for (int burst = 0; burst < kBursts; ++burst) {
+        for (int i = 0; i < kPerBurst; ++i) {
+            ping.id = burst * kPerBurst + i;
+            ASSERT_TRUE(client.send(ping));
+        }
+        for (int i = 0; i < kPerBurst; ++i)
+            ASSERT_TRUE(client.read_reply(30000).has_value());
+    }
+    // A quarter of one delayed ACK per burst: far above the no-stall
+    // cost of a few loopback round trips, far below the stalled one.
+    EXPECT_LT(Clock::now() - start, kBursts * 10ms);
+}
+
 /// A query heavy enough to hold the single bulk executor for half a
 /// second (per-fault detects of CFid + CFst on a 128-cell memory: ~130k
 /// placements), forced onto the bulk lane with the explicit class
@@ -421,7 +447,8 @@ TEST(QueryServer, StatsOpReportsPerWantAndCacheCounters) {
     stats_request.op = QueryOp::Stats;
     const auto reply = client.roundtrip(stats_request, 30000);
     ASSERT_TRUE(reply.has_value());
-    const Json* body = Json::parse(*reply).find("stats");
+    const Json root = Json::parse(*reply);  // body points into it
+    const Json* body = root.find("stats");
     ASSERT_NE(body, nullptr);
     // Per-Want counts summed over the interactive and bulk engines. The
     // second DetectsAll may be coalesced or served again — >= 1, == for

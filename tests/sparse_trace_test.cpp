@@ -1,11 +1,10 @@
-/// Sparse-vs-dense trace battery (PR 8): the word trace path keeps only
-/// sparse per-(background, site) observation runs by default; the PR 4
-/// dense grid stays compiled behind sim::set_dense_trace_grids(true) for
-/// one release. The two paths must agree bit-for-bit across W ∈ {1, 4, 8}
-/// × workers {1, 2, hw} × every fault kind (forced intra-word pairs
-/// included), and the sparse path must complete word memories whose dense
-/// grid is unallocatable (words=4096 × width=8, RAM-gated smoke). Plus
-/// unit coverage of the SparseGuaranteedRuns merge-walk itself.
+/// Sparse trace battery: the word trace path keeps its observations as
+/// sparse per-(background, site) runs. They must agree bit-for-bit with
+/// the scalar word::guaranteed_trace oracle across W ∈ {1, 4, 8} ×
+/// workers {1, 2, hw} × every fault kind (forced intra-word pairs
+/// included), and must complete word memories whose dense grid would be
+/// unallocatable (words=4096 × width=8, RAM-gated smoke). Plus unit
+/// coverage of the SparseGuaranteedRuns merge-walk itself.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
-#include "sim/lane_dispatch.hpp"
 #include "sim/trace_masks.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -28,14 +26,6 @@ namespace {
 
 using fault::FaultKind;
 using sim::detail::SparseGuaranteedRuns;
-
-/// RAII dense-grid toggle so a failing ASSERT cannot leak the test-only
-/// fallback into later tests.
-class DenseGrids {
-public:
-    explicit DenseGrids(bool enabled) { sim::set_dense_trace_grids(enabled); }
-    ~DenseGrids() { sim::set_dense_trace_grids(false); }
-};
 
 TEST(SparseGuaranteedRuns, FirstPassSeedsLaterPassesIntersect) {
     SparseGuaranteedRuns<sim::LaneMask> runs(1);
@@ -117,7 +107,7 @@ std::vector<InjectedBitFault> mixed_population(SplitMix64& rng, int words,
     return population;
 }
 
-TEST(SparseTraceDifferential, MatchesDenseAcrossWidthsAndWorkers) {
+TEST(SparseTraceDifferential, MatchesScalarOracleAcrossWidthsAndWorkers) {
     SplitMix64 rng(0x5BA25EULL);
     WordRunOptions opts;
     opts.words = 6;
@@ -125,6 +115,10 @@ TEST(SparseTraceDifferential, MatchesDenseAcrossWidthsAndWorkers) {
     const auto backgrounds = counting_backgrounds(opts.width);
     const auto& test = march::march_c_minus();
     const auto population = mixed_population(rng, opts.words, opts.width);
+    std::vector<WordRunTrace> oracle;
+    oracle.reserve(population.size());
+    for (const InjectedBitFault& fault : population)
+        oracle.push_back(guaranteed_trace(test, backgrounds, fault, opts));
 
     util::ThreadPool one(1);
     util::ThreadPool two(2);
@@ -132,17 +126,12 @@ TEST(SparseTraceDifferential, MatchesDenseAcrossWidthsAndWorkers) {
     const char* pool_names[] = {"1", "2", "hw"};
     for (int width : {1, 4, 8})
         for (int p = 0; p < 3; ++p) {
-            const WordBatchRunner runner(test, backgrounds, opts, pools[p],
-                                         width);
-            const auto sparse = runner.run(population);
-            std::vector<WordRunTrace> dense;
-            {
-                DenseGrids guard(true);
-                dense = runner.run(population);
-            }
-            ASSERT_EQ(sparse.size(), dense.size());
+            const auto sparse = WordBatchRunner(test, backgrounds, opts,
+                                                pools[p], width)
+                                    .run(population);
+            ASSERT_EQ(sparse.size(), oracle.size());
             for (std::size_t i = 0; i < sparse.size(); ++i)
-                ASSERT_EQ(sparse[i], dense[i])
+                ASSERT_EQ(sparse[i], oracle[i])
                     << "W=" << width << " workers=" << pool_names[p]
                     << " placement " << i;
         }

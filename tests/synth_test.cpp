@@ -18,6 +18,8 @@
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
+#include "net/remote_backend.hpp"
+#include "net/worker.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/march_runner.hpp"
 #include "synth/beam_search.hpp"
@@ -348,10 +350,9 @@ TEST(BeamSearch, DeterministicAcrossBackendsWidthsAndWorkers) {
         synthesised.push_back(run_search(engine, kinds, 42).test.str());
     }
     {
-        engine::EngineConfig config;
-        config.backend = engine::BackendKind::Sharded;
-        config.shards = 3;
-        engine::Engine engine(config);
+        // The fleet outlives the Engine that takes its fds.
+        net::LoopbackFleet fleet(2);
+        engine::Engine engine(engine::make_remote_backend(fleet.take_fds()));
         synthesised.push_back(run_search(engine, kinds, 42).test.str());
     }
 

@@ -15,7 +15,6 @@
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
-#include "sim/lane_dispatch.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "word/background.hpp"
@@ -351,23 +350,25 @@ TEST(PackedWordMemoryReset, GeometryAndFaultChange) {
     }
 }
 
-TEST(PassScratch, PooledAndFreshPassesAgree) {
+TEST(PassScratch, ReusedScratchMatchesScalarOracle) {
+    // The pass kernels re-arm a thread-local memory with reset() instead
+    // of allocating one per pass; running the same population twice must
+    // leave no state behind, and both runs must equal the scalar oracle.
     WordRunOptions opts;
     opts.width = 8;
     const auto backgrounds = counting_backgrounds(8);
     const auto& test = march::march_c_minus();
     const auto population = coverage_population(FaultKind::CfidUp1, opts);
     const WordBatchRunner runner(test, backgrounds, opts);
-    ASSERT_TRUE(sim::pass_scratch_enabled());  // default is pooled
-    const auto pooled = runner.run(population);
-    const auto pooled_again = runner.run(population);  // scratch reuse
-    sim::set_pass_scratch_enabled(false);
-    const auto fresh = runner.run(population);
-    sim::set_pass_scratch_enabled(true);
-    ASSERT_EQ(pooled.size(), fresh.size());
-    for (std::size_t i = 0; i < pooled.size(); ++i) {
-        ASSERT_EQ(pooled[i], fresh[i]) << i;
-        ASSERT_EQ(pooled[i], pooled_again[i]) << i;
+    const auto first = runner.run(population);
+    const auto second = runner.run(population);  // scratch reuse
+    ASSERT_EQ(first.size(), population.size());
+    ASSERT_EQ(second.size(), population.size());
+    for (std::size_t i = 0; i < population.size(); ++i) {
+        ASSERT_EQ(first[i], guaranteed_trace(test, backgrounds,
+                                             population[i], opts))
+            << i;
+        ASSERT_EQ(second[i], first[i]) << i;
     }
 }
 
